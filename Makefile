@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build check vet fmt test race fuzz-short cover bench bench-json bench-save bench-compare serve-smoke recover-smoke build-large-smoke ci
+.PHONY: all build check vet fmt test loc race fuzz-short cover bench bench-json bench-save bench-compare serve-smoke recover-smoke build-large-smoke ci
 
 all: check
 
@@ -23,6 +23,14 @@ test: build
 	$(GO) test ./...
 
 check: vet fmt test
+
+# Go line counts: production files and _test.go files, excluding the
+# perfbench module and dot directories (build caches). Deleting code is
+# progress, so each change records this pair before and after.
+GO_FILES = find . \( -path ./perfbench -o -path './.*' \) -prune -o -name '*.go'
+loc:
+	@echo "production $$($(GO_FILES) ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "test       $$($(GO_FILES) -name '*_test.go' -print | xargs cat | wc -l)"
 
 # Race-detector pass over the packages that exercise concurrency
 # (parallel stretch verification, pooled searchers, parallel experiment

@@ -1,24 +1,62 @@
 package geom
 
-// DynamicGrid is the mutable counterpart of Grid: a uniform spatial hash
-// over R^d whose point set changes over time. internal/dynamic uses it to
-// keep α-UBG incidence queries O(3^d) per operation while nodes join, leave
-// and move — rebuilding a static Grid per operation would cost O(n) each.
+import "math"
+
+// DynamicGrid is a uniform spatial hash over R^d for fixed-radius neighbor
+// queries on a point set that changes over time. internal/dynamic uses it
+// to keep α-UBG incidence queries O(3^d) per operation while nodes join,
+// leave and move: with a cell side equal to the query radius only O(3^d)
+// cells need to be inspected per query, where a naive scan costs O(n). For
+// a static point set read by parallel workers, use CellGrid.
 //
 // Points are identified by caller-chosen dense integer ids (the dynamic
 // engine's vertex slots); ids may be added, removed, and re-added freely.
-// Like Grid, a DynamicGrid reuses internal scratch buffers between queries
-// (the shared cellHash core) and is not safe for concurrent use.
+// A DynamicGrid reuses internal scratch buffers between queries and is not
+// safe for concurrent use.
 type DynamicGrid struct {
-	cellHash
+	cell   float64
+	dim    int
+	cells  map[string][]int
 	points []Point // id-indexed; nil marks an absent id
 	count  int
+
+	// Query scratch, reused across calls so neighbor scans perform no
+	// steady-state allocations.
+	keybuf  []byte
+	base    []int64
+	offsets []int64
 }
 
 // NewDynamicGrid returns an empty grid with the given cell side. cell must
 // be positive. The dimension is fixed by the first point added.
 func NewDynamicGrid(cell float64) *DynamicGrid {
-	return &DynamicGrid{cellHash: newCellHash(cell)}
+	if cell <= 0 {
+		panic("geom: grid cell side must be positive")
+	}
+	return &DynamicGrid{cell: cell, cells: make(map[string][]int)}
+}
+
+// setDim fixes the dimension and sizes the scratch buffers.
+func (g *DynamicGrid) setDim(dim int) {
+	g.dim = dim
+	g.keybuf = make([]byte, 0, 8*dim)
+	g.base = make([]int64, dim)
+	g.offsets = make([]int64, dim)
+}
+
+// key computes the cell key of point p. Keys are encoded as small byte
+// strings of the integer cell coordinates; map[string] gives us a compact,
+// allocation-friendly multi-dimensional hash without unsafe tricks.
+func (g *DynamicGrid) key(p Point) string {
+	buf := g.keybuf[:0]
+	for _, c := range p {
+		ic := int64(math.Floor(c / g.cell))
+		for s := 0; s < 64; s += 8 {
+			buf = append(buf, byte(ic>>s))
+		}
+	}
+	g.keybuf = buf
+	return string(buf)
 }
 
 // Add indexes point p under id. It panics if id is already present or the
@@ -101,9 +139,12 @@ func (g *DynamicGrid) point(id int) Point {
 
 // NeighborsAppend appends to dst the ids of all indexed points q (other
 // than id self; pass -1 to disable self-exclusion) with |p - q| <= radius,
-// and returns the extended slice. Same contract as Grid.NeighborsAppend:
-// reusing dst[:0] across calls makes queries allocation-free, and the
-// shared scratch buffers forbid concurrent use.
+// and returns the extended slice. Passing dst[:0] of a slice reused across
+// calls makes the query allocation-free once the slice has grown to the
+// largest neighborhood. radius is supported up to any multiple of the cell
+// side (⌈radius/cell⌉ cells are scanned per axis), but the scan is most
+// efficient when radius <= cell. Not safe for concurrent use: the query
+// reuses the grid's scratch buffers.
 func (g *DynamicGrid) NeighborsAppend(dst []int, p Point, radius float64, self int) []int {
 	if g.count == 0 {
 		return dst
@@ -111,7 +152,44 @@ func (g *DynamicGrid) NeighborsAppend(dst []int, p Point, radius float64, self i
 	if p.Dim() != g.dim {
 		panic("geom: grid dimension mismatch")
 	}
-	return g.scanAppend(dst, g.points, p, radius, self)
+	span := int64(math.Ceil(radius / g.cell))
+	for i, c := range p {
+		g.base[i] = int64(math.Floor(c / g.cell))
+		g.offsets[i] = -span
+	}
+	r2 := radius * radius
+	for {
+		// Visit cell base+offsets.
+		buf := g.keybuf[:0]
+		for i := 0; i < g.dim; i++ {
+			ic := g.base[i] + g.offsets[i]
+			for s := 0; s < 64; s += 8 {
+				buf = append(buf, byte(ic>>s))
+			}
+		}
+		g.keybuf = buf
+		for _, idx := range g.cells[string(buf)] {
+			if idx == self {
+				continue
+			}
+			if DistSq(p, g.points[idx]) <= r2 {
+				dst = append(dst, idx)
+			}
+		}
+		// Advance the offset vector like an odometer.
+		i := 0
+		for ; i < g.dim; i++ {
+			g.offsets[i]++
+			if g.offsets[i] <= span {
+				break
+			}
+			g.offsets[i] = -span
+		}
+		if i == g.dim {
+			break
+		}
+	}
+	return dst
 }
 
 // Len returns the number of indexed points.

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// naiveNeighbors is the quadratic reference for DynamicGrid queries.
+// naiveNeighborsDyn is the quadratic reference for DynamicGrid queries.
 func naiveNeighborsDyn(pts map[int]Point, p Point, radius float64, self int) []int {
 	var out []int
 	for id, q := range pts {
@@ -106,5 +106,108 @@ func TestDynamicGridPanics(t *testing.T) {
 	expectPanic("duplicate add", func() { g.Add(0, Point{1, 1}) })
 	expectPanic("dim mismatch", func() { g.Add(1, Point{1, 1, 1}) })
 	expectPanic("remove unknown", func() { g.Remove(5) })
-	expectPanic("zero cell", func() { NewDynamicGrid(0) })
+}
+
+// indexAll adds points[i] under id i to a fresh grid and returns it with
+// the matching reference map.
+func indexAll(points []Point, cell float64) (*DynamicGrid, map[int]Point) {
+	g := NewDynamicGrid(cell)
+	ref := make(map[int]Point, len(points))
+	for i, p := range points {
+		g.Add(i, p)
+		ref[i] = p
+	}
+	return g, ref
+}
+
+// TestGridMatchesNaive checks static point sets against the naive scan
+// across dimensions, with cells smaller than, equal to and much larger
+// than the query radius (the multi-cell odometer scan and the tiny-radius
+// single-cell case). Coordinates span [-10, 10], so negative cells occur.
+func TestGridMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	for _, tc := range []struct {
+		n      int
+		d      int
+		cell   float64
+		radius float64
+	}{
+		{n: 200, d: 2, cell: 0.25, radius: 0.25},
+		{n: 200, d: 2, cell: 0.25, radius: 0.6}, // radius > cell: multi-cell scan
+		{n: 150, d: 3, cell: 0.3, radius: 0.3},
+		{n: 100, d: 4, cell: 0.5, radius: 0.45},
+		{n: 50, d: 2, cell: 1.0, radius: 0.05}, // tiny radius in big cells
+	} {
+		points := make([]Point, tc.n)
+		for i := range points {
+			points[i] = randPoint(rng, tc.d)
+		}
+		grid, ref := indexAll(points, tc.cell)
+		for trial := 0; trial < 30; trial++ {
+			self := rng.Intn(tc.n)
+			got := grid.NeighborsAppend(nil, points[self], tc.radius, self)
+			sort.Ints(got)
+			want := naiveNeighborsDyn(ref, points[self], tc.radius, self)
+			if len(got) != len(want) {
+				t.Fatalf("n=%d d=%d r=%v: got %d neighbors, want %d", tc.n, tc.d, tc.radius, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d d=%d: neighbor mismatch %v vs %v", tc.n, tc.d, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestGridNegativeCoordinates(t *testing.T) {
+	// Floor-based cell keys must work for negative coordinates too.
+	points := []Point{{-0.9, -0.9}, {-1.1, -1.1}, {0.1, 0.1}}
+	grid, _ := indexAll(points, 1.0)
+	got := grid.NeighborsAppend(nil, points[0], 0.5, 0)
+	if len(got) != 1 || got[0] != 1 {
+		t.Errorf("Neighbors = %v, want [1]", got)
+	}
+}
+
+func TestGridSelfExclusion(t *testing.T) {
+	points := []Point{{0, 0}, {0.1, 0}}
+	grid, _ := indexAll(points, 1.0)
+	with := grid.NeighborsAppend(nil, points[0], 1, -1)
+	without := grid.NeighborsAppend(nil, points[0], 1, 0)
+	if len(with) != 2 || len(without) != 1 {
+		t.Errorf("self exclusion broken: with=%v without=%v", with, without)
+	}
+}
+
+func TestGridEmpty(t *testing.T) {
+	grid := NewDynamicGrid(1.0)
+	if grid.Len() != 0 {
+		t.Errorf("Len = %d", grid.Len())
+	}
+	if got := grid.NeighborsAppend(nil, Point{0, 0}, 1, -1); got != nil {
+		t.Errorf("Neighbors on empty grid = %v", got)
+	}
+}
+
+func TestGridInvalidCellPanics(t *testing.T) {
+	for _, cell := range []float64{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("cell %v: expected panic on non-positive cell", cell)
+				}
+			}()
+			NewDynamicGrid(cell)
+		}()
+	}
+}
+
+func TestGridBoundaryInclusive(t *testing.T) {
+	points := []Point{{0, 0}, {1, 0}}
+	grid, _ := indexAll(points, 0.5)
+	got := grid.NeighborsAppend(nil, points[0], 1.0, 0)
+	if len(got) != 1 {
+		t.Errorf("boundary point not included: %v", got)
+	}
 }

@@ -33,14 +33,18 @@ package graph
 // TestBidiSettlesFewer pins the aggregate settled-vertex ratio across 2-D
 // and 3-D workloads; benchstat shows the wall-clock consequence.
 //
-// Each search loop exists twice: a generic version over the Topology
-// interface, and a devirtualized version over *Frozen that slices the CSR
-// halfedge slab through the (offset, degree) row table directly — no
-// interface call per settled vertex. The dispatch happens once per search,
-// so the serving layer (whose snapshots are always *Frozen) never pays
-// dynamic dispatch inside the loop. Correctness of both loops, and their
-// equivalence to the unidirectional reference kernels, is pinned by the
-// differential fuzz suite in bidi_test.go.
+// The search is one loop over any Topology. It asserts g.(*Frozen) once
+// per search and, per settled vertex, slices the row straight out of the
+// CSR halfedge slab through the (offset, degree) row table when g is a
+// *Frozen, calling g.Neighbors otherwise — so the serving layer, whose
+// snapshots are always *Frozen, pays no interface call inside the loop. The
+// row selection is written inline because as a helper function it costs
+// 85 against Go's inlining budget of 80, which would put a call back on
+// every settled vertex. The forward and backward halves stay written out
+// rather than sharing one step over a frontier struct, which measured
+// slower. Equivalence on both representations and against the
+// unidirectional reference kernel is pinned by the differential fuzz suite
+// in bidi_test.go and by TestFrozenSearchAgrees.
 
 // biInit primes both frontiers for a point-to-point search on an n-vertex
 // topology. Forward state (seen/dist/prev/heap) seeds at src, backward
@@ -58,14 +62,30 @@ func (s *Searcher) biInit(n, src, dst int) {
 	heapPush(&s.heapB, 0, int32(dst))
 }
 
-// biSearchTopology runs the bidirectional bounded search over the generic
-// Topology interface. It returns the meeting vertex and the meeting
-// distance μ, or (-1, Inf) when no path of length ≤ bound exists. On
-// success the shortest path is prev-chain(meet)..src reversed, then
-// prevB-chain(meet)..dst; relaxations only ever come from settled
-// vertices, whose distances are final, so both chains are consistent with
-// the final labels.
-func (s *Searcher) biSearchTopology(g Topology, src, dst int, bound float64, existOnly bool) (int32, float64) {
+// endpointsIn reports whether src and dst are both vertices of g. The
+// point-to-point kernels answer not-found for any endpoint outside it.
+func endpointsIn(g Topology, src, dst int) bool {
+	n := g.N()
+	return src >= 0 && src < n && dst >= 0 && dst < n
+}
+
+// biSearch runs the prologue shared by the point-to-point kernels, then
+// the bidirectional bounded search. It returns the meeting vertex and the
+// meeting distance μ, or (-1, Inf) when an endpoint is out of range or no
+// path of length ≤ bound exists; src == dst meets at src at distance 0
+// without counting a search. On success with src != dst the shortest path
+// is prev-chain(meet)..src reversed, then prevB-chain(meet)..dst;
+// relaxations only ever come from settled vertices, whose distances are
+// final, so both chains are consistent with the final labels.
+func (s *Searcher) biSearch(g Topology, src, dst int, bound float64, existOnly bool) (int32, float64) {
+	if !endpointsIn(g, src, dst) {
+		return -1, Inf
+	}
+	if src == dst {
+		return int32(src), 0
+	}
+	s.stats.Searches++
+	f, _ := g.(*Frozen)
 	s.biInit(g.N(), src, dst)
 	mu := Inf
 	meet := int32(-1)
@@ -86,7 +106,14 @@ func (s *Searcher) biSearchTopology(g Topology, src, dst int, bound float64, exi
 			}
 			settledF++
 			topB := s.heapB[0].dist // fixed while this side expands
-			for _, h := range g.Neighbors(v) {
+			var row []Halfedge
+			if f != nil {
+				r := f.rows[v]
+				row = f.slab[r.off : r.off+r.deg]
+			} else {
+				row = g.Neighbors(v)
+			}
+			for _, h := range row {
 				nd := it.dist + h.W
 				if nd > bound {
 					continue
@@ -122,100 +149,14 @@ func (s *Searcher) biSearchTopology(g Topology, src, dst int, bound float64, exi
 			}
 			settledB++
 			topF := s.heap[0].dist
-			for _, h := range g.Neighbors(v) {
-				nd := it.dist + h.W
-				if nd > bound {
-					continue
-				}
-				if s.seenB[h.To] == s.epoch {
-					if s.distB[h.To] <= nd {
-						continue
-					}
-				} else {
-					s.seenB[h.To] = s.epoch
-					labeledB++
-				}
-				s.distB[h.To] = nd
-				s.prevB[h.To] = int32(v)
-				if s.seen[h.To] == s.epoch {
-					if m := nd + s.dist[h.To]; m < mu {
-						mu, meet = m, int32(h.To)
-					}
-				}
-				if pf := nd + topF; pf <= bound && pf < mu {
-					heapPush(&s.heapB, nd, int32(h.To))
-				}
+			var row []Halfedge
+			if f != nil {
+				r := f.rows[v]
+				row = f.slab[r.off : r.off+r.deg]
+			} else {
+				row = g.Neighbors(v)
 			}
-		}
-	}
-	s.stats.Settled += settledF + settledB
-	if mu > bound {
-		return -1, Inf
-	}
-	return meet, mu
-}
-
-// biSearchFrozen is biSearchTopology devirtualized over the CSR
-// representation: adjacency rows are sliced straight out of the halfedge
-// slab via the (offset, degree) row table. Keep the two loops in lockstep —
-// the differential fuzz suite asserts they agree query-for-query, and
-// TestBidiSettlesFewer asserts they settle identical vertex counts.
-func (s *Searcher) biSearchFrozen(f *Frozen, src, dst int, bound float64, existOnly bool) (int32, float64) {
-	s.biInit(len(f.rows), src, dst)
-	mu := Inf
-	meet := int32(-1)
-	var settledF, settledB int64
-	labeledF, labeledB := int64(1), int64(1)
-	for len(s.heap) > 0 && len(s.heapB) > 0 {
-		if sum := s.heap[0].dist + s.heapB[0].dist; sum >= mu || sum > bound {
-			break
-		}
-		if existOnly && meet >= 0 && mu <= bound {
-			break // a path within the bound exists; minimality not required
-		}
-		if labeledF-settledF <= labeledB-settledB {
-			it := heapPop(&s.heap)
-			v := int(it.v)
-			if it.dist > s.dist[v] {
-				continue
-			}
-			settledF++
-			topB := s.heapB[0].dist
-			r := f.rows[v]
-			for _, h := range f.slab[r.off : r.off+r.deg] {
-				nd := it.dist + h.W
-				if nd > bound {
-					continue
-				}
-				if s.seen[h.To] == s.epoch {
-					if s.dist[h.To] <= nd {
-						continue
-					}
-				} else {
-					s.seen[h.To] = s.epoch
-					labeledF++
-				}
-				s.dist[h.To] = nd
-				s.prev[h.To] = int32(v)
-				if s.seenB[h.To] == s.epoch {
-					if m := nd + s.distB[h.To]; m < mu {
-						mu, meet = m, int32(h.To)
-					}
-				}
-				if pb := nd + topB; pb <= bound && pb < mu {
-					heapPush(&s.heap, nd, int32(h.To))
-				}
-			}
-		} else {
-			it := heapPop(&s.heapB)
-			v := int(it.v)
-			if it.dist > s.distB[v] {
-				continue
-			}
-			settledB++
-			topF := s.heap[0].dist
-			r := f.rows[v]
-			for _, h := range f.slab[r.off : r.off+r.deg] {
+			for _, h := range row {
 				nd := it.dist + h.W
 				if nd > bound {
 					continue
@@ -253,23 +194,9 @@ func (s *Searcher) biSearchFrozen(f *Frozen, src, dst int, bound float64, existO
 // The boolean result reports whether a path of length at most bound
 // exists. This is the primitive behind every greedy "is there a t-spanner
 // path already?" query; it runs bidirectionally (see the package comment
-// at the top of this file) and takes the CSR fast path when g is a
-// *Frozen.
+// at the top of this file). An endpoint outside g finds no path.
 func (s *Searcher) DijkstraTarget(g Topology, src, dst int, bound float64) (float64, bool) {
-	if src == dst {
-		return 0, true
-	}
-	s.stats.Searches++
-	if dst < 0 || dst >= g.N() {
-		return Inf, false
-	}
-	var mu float64
-	var meet int32
-	if f, ok := g.(*Frozen); ok {
-		meet, mu = s.biSearchFrozen(f, src, dst, bound, false)
-	} else {
-		meet, mu = s.biSearchTopology(g, src, dst, bound, false)
-	}
+	meet, mu := s.biSearch(g, src, dst, bound, false)
 	if meet < 0 {
 		return Inf, false
 	}
@@ -296,22 +223,12 @@ func (s *Searcher) PathTo(g Topology, src, dst int, bound float64) ([]int, float
 // reusing a warmed buffer performs zero allocations per route — this is
 // the variant routing.Router and the serving layer's uncached path run on.
 func (s *Searcher) AppendPathTo(buf []int, g Topology, src, dst int, bound float64) ([]int, float64, bool) {
-	if src == dst {
-		return append(buf, src), 0, true
-	}
-	s.stats.Searches++
-	if dst < 0 || dst >= g.N() {
-		return buf, Inf, false
-	}
-	var mu float64
-	var meet int32
-	if f, ok := g.(*Frozen); ok {
-		meet, mu = s.biSearchFrozen(f, src, dst, bound, false)
-	} else {
-		meet, mu = s.biSearchTopology(g, src, dst, bound, false)
-	}
+	meet, mu := s.biSearch(g, src, dst, bound, false)
 	if meet < 0 {
 		return buf, Inf, false
+	}
+	if src == dst {
+		return append(buf, src), 0, true
 	}
 	// Stitch the two prev trees: count both chain lengths first so the
 	// buffer grows with one exact allocation, then fill the forward half
@@ -355,18 +272,6 @@ func (s *Searcher) AppendPathTo(buf []int, g Topology, src, dst int, bound float
 // algorithm's redundancy filter, and the dynamic engine's repair replay
 // only ever need existence.
 func (s *Searcher) ReachableWithin(g Topology, src, dst int, bound float64) bool {
-	if src == dst {
-		return true
-	}
-	s.stats.Searches++
-	if dst < 0 || dst >= g.N() {
-		return false
-	}
-	var meet int32
-	if f, ok := g.(*Frozen); ok {
-		meet, _ = s.biSearchFrozen(f, src, dst, bound, true)
-	} else {
-		meet, _ = s.biSearchTopology(g, src, dst, bound, true)
-	}
+	meet, _ := s.biSearch(g, src, dst, bound, true)
 	return meet >= 0
 }

@@ -231,11 +231,21 @@ func TestUpdateFrozenSharing(t *testing.T) {
 	}
 }
 
-// TestFrozenSearchAgrees pins that every Searcher query returns identical
-// results on a Graph and its Frozen counterpart.
+// TestFrozenSearchAgrees pins that every Searcher kernel reads a Graph and
+// its Frozen counterpart identically: Freeze keeps each row's order, so
+// the one search loop per kernel must return bit-identical answers and
+// settle exactly as many vertices on either representation.
 func TestFrozenSearchAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	s1, s2 := NewSearcher(0), NewSearcher(0)
+	sameWork := func(kernel string) {
+		t.Helper()
+		if w1, w2 := s1.Stats(), s2.Stats(); w1 != w2 {
+			t.Fatalf("%s: graph stats %+v, frozen stats %+v", kernel, w1, w2)
+		}
+		s1.ResetStats()
+		s2.ResetStats()
+	}
 	for trial := 0; trial < 20; trial++ {
 		n := 2 + rng.Intn(30)
 		g := frozenRandGraph(rng, n, 2*n)
@@ -244,40 +254,108 @@ func TestFrozenSearchAgrees(t *testing.T) {
 			src, dst := rng.Intn(n), rng.Intn(n)
 			d1, ok1 := s1.DijkstraTarget(g, src, dst, Inf)
 			d2, ok2 := s2.DijkstraTarget(f, src, dst, Inf)
-			if ok1 != ok2 || (ok1 && math.Abs(d1-d2) > 1e-12) {
+			if ok1 != ok2 || d1 != d2 {
 				t.Fatalf("DijkstraTarget(%d,%d): graph %v/%v, frozen %v/%v", src, dst, d1, ok1, d2, ok2)
 			}
+			sameWork("DijkstraTarget")
 			p1, c1, okp1 := s1.PathTo(g, src, dst, Inf)
 			p2, c2, okp2 := s2.PathTo(f, src, dst, Inf)
-			if okp1 != okp2 || (okp1 && math.Abs(c1-c2) > 1e-12) {
-				t.Fatalf("PathTo(%d,%d): graph %v/%v, frozen %v/%v", src, dst, c1, okp1, c2, okp2)
+			if okp1 != okp2 || c1 != c2 || fmt.Sprint(p1) != fmt.Sprint(p2) {
+				t.Fatalf("PathTo(%d,%d): graph %v %v/%v, frozen %v %v/%v", src, dst, p1, c1, okp1, p2, c2, okp2)
 			}
-			if okp1 {
-				// Both paths must certify at their reported cost on the
-				// *other* representation (the exact vertex sequence may
-				// differ only if equal-cost ties exist; certify instead of
-				// comparing sequences).
-				if w, ok := PathWeight(f, p1); !ok || math.Abs(w-c1) > 1e-12 {
-					t.Fatalf("graph path does not certify on frozen: %v %v", w, ok)
-				}
-				if w, ok := PathWeight(g, p2); !ok || math.Abs(w-c2) > 1e-12 {
-					t.Fatalf("frozen path does not certify on graph: %v %v", w, ok)
-				}
+			sameWork("PathTo")
+			// A bound around the true distance makes half the probes
+			// fail, exercising the bound cut as well as the early meet.
+			bound := 2 * rng.Float64()
+			if ok1 {
+				bound *= d1
 			}
-			h1, okh1 := s1.HopsTo(g, src, dst)
-			h2, okh2 := s2.HopsTo(f, src, dst)
-			if okh1 != okh2 || h1 != h2 {
-				t.Fatalf("HopsTo(%d,%d): graph %d/%v, frozen %d/%v", src, dst, h1, okh1, h2, okh2)
+			if r1, r2 := s1.ReachableWithin(g, src, dst, bound), s2.ReachableWithin(f, src, dst, bound); r1 != r2 {
+				t.Fatalf("ReachableWithin(%d,%d,%v): graph %v, frozen %v", src, dst, bound, r1, r2)
 			}
+			sameWork("ReachableWithin")
 		}
-		out1, out2 := make([]float64, n), make([]float64, n)
 		src := rng.Intn(n)
+		out1, out2 := make([]float64, n), make([]float64, n)
 		s1.Dijkstra(g, src, Inf, out1)
 		s2.Dijkstra(f, src, Inf, out2)
-		for v := range out1 {
-			if out1[v] != out2[v] && !(math.IsInf(out1[v], 1) && math.IsInf(out2[v], 1)) {
-				t.Fatalf("Dijkstra dist[%d]: %v != %v", v, out1[v], out2[v])
+		if fmt.Sprint(out1) != fmt.Sprint(out2) {
+			t.Fatalf("Dijkstra from %d: graph %v, frozen %v", src, out1, out2)
+		}
+		sameWork("Dijkstra")
+		bound := 1.5 * rng.Float64()
+		b1 := fmt.Sprint(s1.Ball(g, src, bound))
+		b2 := fmt.Sprint(s2.Ball(f, src, bound))
+		if b1 != b2 {
+			t.Fatalf("Ball(%d,%v): graph %s, frozen %s", src, bound, b1, b2)
+		}
+		sameWork("Ball")
+		// Prune below every vertex of a fixed set (here, multiples of 3
+		// other than the source); record the visit sequence.
+		var v1, v2 []VertexDist
+		s1.DijkstraPruned(g, src, Inf, func(v int, d float64) bool {
+			v1 = append(v1, VertexDist{v, d})
+			return v == src || v%3 != 0
+		})
+		s2.DijkstraPruned(f, src, Inf, func(v int, d float64) bool {
+			v2 = append(v2, VertexDist{v, d})
+			return v == src || v%3 != 0
+		})
+		if fmt.Sprint(v1) != fmt.Sprint(v2) {
+			t.Fatalf("DijkstraPruned(%d): graph %v, frozen %v", src, v1, v2)
+		}
+		sameWork("DijkstraPruned")
+		hops := rng.Intn(4)
+		h1 := fmt.Sprint(s1.HopBall(g, src, hops))
+		h2 := fmt.Sprint(s2.HopBall(f, src, hops))
+		if h1 != h2 {
+			t.Fatalf("HopBall(%d,%d): graph %s, frozen %s", src, hops, h1, h2)
+		}
+		sameWork("HopBall")
+	}
+}
+
+// TestPointQueriesRejectOutOfRangeEndpoints pins the shared prologue of
+// the point-to-point kernels: an endpoint outside the vertex range finds
+// no path, whichever side it is on and even when src == dst, on both
+// representations.
+func TestPointQueriesRejectOutOfRangeEndpoints(t *testing.T) {
+	g := New(4)
+	g.AddEdge(0, 1, 1)
+	g.AddEdge(1, 2, 1)
+	g.AddEdge(2, 3, 1)
+	s := NewSearcher(0)
+	for _, topo := range []Topology{g, Freeze(g)} {
+		for _, tc := range []struct{ src, dst int }{
+			{7, 7}, {9, 9}, {-1, -1}, {-1, 2}, {2, -1}, {4, 0}, {0, 4}, {4, 4},
+		} {
+			name := fmt.Sprintf("%T (%d,%d)", topo, tc.src, tc.dst)
+			if d, ok := s.DijkstraTarget(topo, tc.src, tc.dst, Inf); ok || !math.IsInf(d, 1) {
+				t.Errorf("%s: DijkstraTarget = (%v, %v), want (Inf, false)", name, d, ok)
 			}
+			if d, ok := s.DijkstraTargetUni(topo, tc.src, tc.dst, Inf); ok || !math.IsInf(d, 1) {
+				t.Errorf("%s: DijkstraTargetUni = (%v, %v), want (Inf, false)", name, d, ok)
+			}
+			if p, d, ok := s.PathTo(topo, tc.src, tc.dst, Inf); ok || p != nil || !math.IsInf(d, 1) {
+				t.Errorf("%s: PathTo = (%v, %v, %v), want (nil, Inf, false)", name, p, d, ok)
+			}
+			buf := []int{42}
+			if p, _, ok := s.AppendPathTo(buf, topo, tc.src, tc.dst, Inf); ok || len(p) != 1 {
+				t.Errorf("%s: AppendPathTo = (%v, %v), want buf unchanged", name, p, ok)
+			}
+			if s.ReachableWithin(topo, tc.src, tc.dst, 1) {
+				t.Errorf("%s: ReachableWithin = true, want false", name)
+			}
+		}
+		// In-range endpoints still answer, src == dst included.
+		if d, ok := s.DijkstraTarget(topo, 3, 3, Inf); !ok || d != 0 {
+			t.Errorf("%T: DijkstraTarget(3,3) = (%v, %v), want (0, true)", topo, d, ok)
+		}
+		if p, d, ok := s.PathTo(topo, 3, 3, Inf); !ok || d != 0 || len(p) != 1 || p[0] != 3 {
+			t.Errorf("%T: PathTo(3,3) = (%v, %v, %v), want ([3], 0, true)", topo, p, d, ok)
+		}
+		if p, d, ok := s.PathTo(topo, 0, 3, Inf); !ok || d != 3 || fmt.Sprint(p) != "[0 1 2 3]" {
+			t.Errorf("%T: PathTo(0,3) = (%v, %v, %v), want ([0 1 2 3], 3, true)", topo, p, d, ok)
 		}
 	}
 }

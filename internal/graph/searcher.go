@@ -65,8 +65,8 @@ func heapPop(hp *[]heapItem) heapItem {
 // or the last ResetStats. Settled is the number of vertices expanded
 // (popped from a frontier and relaxed) across all searches — the quantity
 // the bidirectional kernels halve relative to the unidirectional ones,
-// pinned by test rather than benchmark noise. BFS dequeues (HopsTo) count
-// as settles too.
+// pinned by test rather than benchmark noise. BFS expansions (HopBall)
+// count as settles too.
 type SearchStats struct {
 	Searches int64
 	Settled  int64
@@ -81,11 +81,13 @@ type SearchStats struct {
 // after it has grown to the largest graph it has seen, every search reuses
 // the same memory.
 //
-// Kernels whose topology argument is the concrete *Frozen take a
-// devirtualized fast path that walks the CSR (offset, degree) row table and
-// halfedge slab directly, with no interface call per settled vertex; the
-// generic loop serves *Graph and any other Topology. The dispatch happens
-// once per search.
+// Each kernel is one search loop over any Topology. The loop asserts
+// g.(*Frozen) once per search; per settled vertex it then slices the row
+// straight out of the CSR halfedge slab through the (offset, degree) row
+// table when g is a *Frozen, and calls g.Neighbors otherwise, so the
+// serving layer, whose snapshots are always *Frozen, pays no call per
+// settled vertex. That row selection is written inline in every loop: as a
+// helper function it costs 85 against Go's inlining budget of 80.
 //
 // A Searcher is not safe for concurrent use; give each goroutine its own
 // (see metrics.StretchParallel) or use the package-level pool via the
@@ -177,6 +179,9 @@ func (s *Searcher) label(v int, d float64) bool {
 // differential tests and the settled-work comparison (Stats) pin the
 // bidirectional kernel against.
 func (s *Searcher) DijkstraTargetUni(g Topology, src, dst int, bound float64) (float64, bool) {
+	if !endpointsIn(g, src, dst) {
+		return Inf, false
+	}
 	if src == dst {
 		return 0, true
 	}
@@ -204,154 +209,54 @@ func (s *Searcher) DijkstraTargetUni(g Topology, src, dst int, bound float64) (f
 	return Inf, false
 }
 
-// PathToUni is the unidirectional counterpart of PathTo, retained (like
-// DijkstraTargetUni) as the reference kernel for differential tests. The
-// path slice is freshly allocated; scratch state is reused.
-func (s *Searcher) PathToUni(g Topology, src, dst int, bound float64) ([]int, float64, bool) {
-	if src == dst {
-		return []int{src}, 0, true
-	}
-	s.stats.Searches++
-	s.begin(g.N())
-	s.label(src, 0)
-	s.prev[src] = -1
-	heapPush(&s.heap, 0, int32(src))
-	for len(s.heap) > 0 {
-		it := heapPop(&s.heap)
-		v := int(it.v)
-		if s.done[v] == s.epoch {
-			continue
-		}
-		s.stats.Settled++
-		if v == dst {
-			var path []int
-			for x := int32(dst); x != -1; x = s.prev[x] {
-				path = append(path, int(x))
-			}
-			for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-				path[i], path[j] = path[j], path[i]
-			}
-			return path, it.dist, true
-		}
-		s.done[v] = s.epoch
-		for _, h := range g.Neighbors(v) {
-			if nd := it.dist + h.W; nd <= bound && s.label(h.To, nd) {
-				s.prev[h.To] = int32(v)
-				heapPush(&s.heap, nd, int32(h.To))
-			}
-		}
-	}
-	return nil, Inf, false
-}
-
 // Ball runs a bounded Dijkstra from src and returns every vertex within
 // distance bound (inclusive) with its distance, in settling order. The
 // returned slice is owned by the Searcher and valid only until its next
 // search; callers that need to keep it must copy.
 func (s *Searcher) Ball(g Topology, src int, bound float64) []VertexDist {
+	f, _ := g.(*Frozen)
 	s.stats.Searches++
 	s.begin(g.N())
 	s.ball = s.ball[:0]
 	s.label(src, 0)
 	heapPush(&s.heap, 0, int32(src))
-	if f, ok := g.(*Frozen); ok {
-		s.ballFrozen(f, bound)
-	} else {
-		s.ballTopology(g, bound)
+	settled := int64(0)
+	for len(s.heap) > 0 {
+		it := heapPop(&s.heap)
+		v := int(it.v)
+		if s.done[v] == s.epoch {
+			continue
+		}
+		s.done[v] = s.epoch
+		settled++
+		s.ball = append(s.ball, VertexDist{V: v, D: it.dist})
+		var row []Halfedge
+		if f != nil {
+			r := f.rows[v]
+			row = f.slab[r.off : r.off+r.deg]
+		} else {
+			row = g.Neighbors(v)
+		}
+		for _, h := range row {
+			if nd := it.dist + h.W; nd <= bound && s.label(h.To, nd) {
+				heapPush(&s.heap, nd, int32(h.To))
+			}
+		}
 	}
+	s.stats.Settled += settled
 	return s.ball
-}
-
-// ballTopology is the generic Ball loop.
-func (s *Searcher) ballTopology(g Topology, bound float64) {
-	settled := int64(0)
-	for len(s.heap) > 0 {
-		it := heapPop(&s.heap)
-		v := int(it.v)
-		if s.done[v] == s.epoch {
-			continue
-		}
-		s.done[v] = s.epoch
-		settled++
-		s.ball = append(s.ball, VertexDist{V: v, D: it.dist})
-		for _, h := range g.Neighbors(v) {
-			if nd := it.dist + h.W; nd <= bound && s.label(h.To, nd) {
-				heapPush(&s.heap, nd, int32(h.To))
-			}
-		}
-	}
-	s.stats.Settled += settled
-}
-
-// ballFrozen is the Ball loop devirtualized over the CSR representation.
-func (s *Searcher) ballFrozen(f *Frozen, bound float64) {
-	settled := int64(0)
-	for len(s.heap) > 0 {
-		it := heapPop(&s.heap)
-		v := int(it.v)
-		if s.done[v] == s.epoch {
-			continue
-		}
-		s.done[v] = s.epoch
-		settled++
-		s.ball = append(s.ball, VertexDist{V: v, D: it.dist})
-		r := f.rows[v]
-		for _, h := range f.slab[r.off : r.off+r.deg] {
-			if nd := it.dist + h.W; nd <= bound && s.label(h.To, nd) {
-				heapPush(&s.heap, nd, int32(h.To))
-			}
-		}
-	}
-	s.stats.Settled += settled
 }
 
 // Dijkstra fills out with the shortest-path distance from src to every
 // vertex (Inf for unreachable ones), skipping expansion beyond bound.
 // len(out) must be g.N().
 func (s *Searcher) Dijkstra(g Topology, src int, bound float64, out []float64) {
-	s.stats.Searches++
-	s.begin(g.N())
 	for i := range out {
 		out[i] = Inf
 	}
-	s.label(src, 0)
-	heapPush(&s.heap, 0, int32(src))
-	settled := int64(0)
-	if f, ok := g.(*Frozen); ok {
-		for len(s.heap) > 0 {
-			it := heapPop(&s.heap)
-			v := int(it.v)
-			if s.done[v] == s.epoch {
-				continue
-			}
-			s.done[v] = s.epoch
-			settled++
-			out[v] = it.dist
-			r := f.rows[v]
-			for _, h := range f.slab[r.off : r.off+r.deg] {
-				if nd := it.dist + h.W; nd <= bound && s.label(h.To, nd) {
-					heapPush(&s.heap, nd, int32(h.To))
-				}
-			}
-		}
-	} else {
-		for len(s.heap) > 0 {
-			it := heapPop(&s.heap)
-			v := int(it.v)
-			if s.done[v] == s.epoch {
-				continue
-			}
-			s.done[v] = s.epoch
-			settled++
-			out[v] = it.dist
-			for _, h := range g.Neighbors(v) {
-				if nd := it.dist + h.W; nd <= bound && s.label(h.To, nd) {
-					heapPush(&s.heap, nd, int32(h.To))
-				}
-			}
-		}
+	for _, vd := range s.Ball(g, src, bound) {
+		out[vd.V] = vd.D
 	}
-	s.stats.Settled += settled
 }
 
 // DijkstraPruned runs a bounded Dijkstra from src, invoking visit on every
@@ -363,19 +268,11 @@ func (s *Searcher) Dijkstra(g Topology, src int, bound float64, out []float64) {
 // cuts off every branch an earlier hub already covers, which is what keeps
 // label sets near-logarithmic instead of linear.
 func (s *Searcher) DijkstraPruned(g Topology, src int, bound float64, visit func(v int, d float64) bool) {
+	f, _ := g.(*Frozen)
 	s.stats.Searches++
 	s.begin(g.N())
 	s.label(src, 0)
 	heapPush(&s.heap, 0, int32(src))
-	if f, ok := g.(*Frozen); ok {
-		s.prunedFrozen(f, bound, visit)
-	} else {
-		s.prunedTopology(g, bound, visit)
-	}
-}
-
-// prunedTopology is the generic DijkstraPruned loop.
-func (s *Searcher) prunedTopology(g Topology, bound float64, visit func(v int, d float64) bool) {
 	settled := int64(0)
 	for len(s.heap) > 0 {
 		it := heapPop(&s.heap)
@@ -388,32 +285,14 @@ func (s *Searcher) prunedTopology(g Topology, bound float64, visit func(v int, d
 		if !visit(v, it.dist) {
 			continue
 		}
-		for _, h := range g.Neighbors(v) {
-			if nd := it.dist + h.W; nd <= bound && s.label(h.To, nd) {
-				heapPush(&s.heap, nd, int32(h.To))
-			}
+		var row []Halfedge
+		if f != nil {
+			r := f.rows[v]
+			row = f.slab[r.off : r.off+r.deg]
+		} else {
+			row = g.Neighbors(v)
 		}
-	}
-	s.stats.Settled += settled
-}
-
-// prunedFrozen is the DijkstraPruned loop devirtualized over the CSR
-// representation.
-func (s *Searcher) prunedFrozen(f *Frozen, bound float64, visit func(v int, d float64) bool) {
-	settled := int64(0)
-	for len(s.heap) > 0 {
-		it := heapPop(&s.heap)
-		v := int(it.v)
-		if s.done[v] == s.epoch {
-			continue
-		}
-		s.done[v] = s.epoch
-		settled++
-		if !visit(v, it.dist) {
-			continue
-		}
-		r := f.rows[v]
-		for _, h := range f.slab[r.off : r.off+r.deg] {
+		for _, h := range row {
 			if nd := it.dist + h.W; nd <= bound && s.label(h.To, nd) {
 				heapPush(&s.heap, nd, int32(h.To))
 			}
@@ -437,6 +316,7 @@ type VertexHop struct {
 // until its next search; callers that need to keep it must copy.
 // maxHops <= 0 returns just the source.
 func (s *Searcher) HopBall(g Topology, src, maxHops int) []VertexHop {
+	f, _ := g.(*Frozen)
 	s.stats.Searches++
 	s.begin(g.N())
 	s.hball = s.hball[:0]
@@ -445,16 +325,6 @@ func (s *Searcher) HopBall(g Topology, src, maxHops int) []VertexHop {
 	s.seen[src] = s.epoch
 	s.hops[src] = 0
 	s.hball = append(s.hball, VertexHop{V: src})
-	if f, ok := g.(*Frozen); ok {
-		s.hopBallFrozen(f, maxHops)
-	} else {
-		s.hopBallTopology(g, maxHops)
-	}
-	return s.hball
-}
-
-// hopBallTopology is the generic HopBall loop.
-func (s *Searcher) hopBallTopology(g Topology, maxHops int) {
 	for i := 0; i < len(s.queue); i++ {
 		v := s.queue[i]
 		hv := s.hops[v]
@@ -462,7 +332,14 @@ func (s *Searcher) hopBallTopology(g Topology, maxHops int) {
 			continue // ball boundary: member, but not expanded
 		}
 		s.stats.Settled++
-		for _, h := range g.Neighbors(int(v)) {
+		var row []Halfedge
+		if f != nil {
+			r := f.rows[v]
+			row = f.slab[r.off : r.off+r.deg]
+		} else {
+			row = g.Neighbors(int(v))
+		}
+		for _, h := range row {
 			if s.seen[h.To] == s.epoch {
 				continue
 			}
@@ -472,90 +349,7 @@ func (s *Searcher) hopBallTopology(g Topology, maxHops int) {
 			s.hball = append(s.hball, VertexHop{V: h.To, Hops: int(hv) + 1})
 		}
 	}
-}
-
-// hopBallFrozen is the HopBall loop devirtualized over the CSR
-// representation.
-func (s *Searcher) hopBallFrozen(f *Frozen, maxHops int) {
-	for i := 0; i < len(s.queue); i++ {
-		v := s.queue[i]
-		hv := s.hops[v]
-		if int(hv) >= maxHops {
-			continue
-		}
-		s.stats.Settled++
-		r := f.rows[v]
-		for _, h := range f.slab[r.off : r.off+r.deg] {
-			if s.seen[h.To] == s.epoch {
-				continue
-			}
-			s.seen[h.To] = s.epoch
-			s.hops[h.To] = hv + 1
-			s.queue = append(s.queue, int32(h.To))
-			s.hball = append(s.hball, VertexHop{V: h.To, Hops: int(hv) + 1})
-		}
-	}
-}
-
-// HopsTo returns the hop distance (unweighted) from src to dst, with early
-// exit as soon as dst enters the BFS frontier.
-func (s *Searcher) HopsTo(g Topology, src, dst int) (int, bool) {
-	if src == dst {
-		return 0, true
-	}
-	s.stats.Searches++
-	s.begin(g.N())
-	s.queue = s.queue[:0]
-	s.queue = append(s.queue, int32(src))
-	s.seen[src] = s.epoch
-	s.hops[src] = 0
-	if f, ok := g.(*Frozen); ok {
-		return s.hopsFrozen(f, dst)
-	}
-	return s.hopsTopology(g, dst)
-}
-
-// hopsTopology is the generic BFS loop behind HopsTo.
-func (s *Searcher) hopsTopology(g Topology, dst int) (int, bool) {
-	for i := 0; i < len(s.queue); i++ {
-		v := s.queue[i]
-		hv := s.hops[v]
-		s.stats.Settled++
-		for _, h := range g.Neighbors(int(v)) {
-			if s.seen[h.To] == s.epoch {
-				continue
-			}
-			if h.To == dst {
-				return int(hv) + 1, true
-			}
-			s.seen[h.To] = s.epoch
-			s.hops[h.To] = hv + 1
-			s.queue = append(s.queue, int32(h.To))
-		}
-	}
-	return 0, false
-}
-
-// hopsFrozen is the BFS loop devirtualized over the CSR representation.
-func (s *Searcher) hopsFrozen(f *Frozen, dst int) (int, bool) {
-	for i := 0; i < len(s.queue); i++ {
-		v := s.queue[i]
-		hv := s.hops[v]
-		s.stats.Settled++
-		r := f.rows[v]
-		for _, h := range f.slab[r.off : r.off+r.deg] {
-			if s.seen[h.To] == s.epoch {
-				continue
-			}
-			if h.To == dst {
-				return int(hv) + 1, true
-			}
-			s.seen[h.To] = s.epoch
-			s.hops[h.To] = hv + 1
-			s.queue = append(s.queue, int32(h.To))
-		}
-	}
-	return 0, false
+	return s.hball
 }
 
 // searcherPool recycles Searchers across the Graph.Dijkstra* convenience

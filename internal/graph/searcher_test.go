@@ -168,22 +168,6 @@ func TestSearcherReuseAcrossGraphs(t *testing.T) {
 	}
 }
 
-func TestSearcherHopsTo(t *testing.T) {
-	inst := randomUBG(t, 50, 21)
-	g := inst.G
-	s := graph.NewSearcher(g.N())
-	for src := 0; src < g.N(); src += 4 {
-		want := g.BFSHops(src, -1)
-		for dst := 0; dst < g.N(); dst += 3 {
-			h, ok := s.HopsTo(g, src, dst)
-			wh, wok := want[dst]
-			if ok != wok || (ok && h != wh) {
-				t.Fatalf("HopsTo(%d, %d) = (%d, %v), BFSHops %d %v", src, dst, h, ok, wh, wok)
-			}
-		}
-	}
-}
-
 // TestDijkstraTargetSteadyStateAllocs pins the tentpole's contract: a
 // steady-state DijkstraTarget performs zero allocations.
 func TestDijkstraTargetSteadyStateAllocs(t *testing.T) {

@@ -206,35 +206,3 @@ func TestStretchRandomizedAgainstBrute(t *testing.T) {
 		}
 	}
 }
-
-func TestHopStretch(t *testing.T) {
-	// Base: triangle; spanner: path 0-1-2 (edge 0-2 needs 2 hops).
-	g := graph.New(3)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(0, 2, 1.5)
-	sp := graph.New(3)
-	sp.AddEdge(0, 1, 1)
-	sp.AddEdge(1, 2, 1)
-	if got := HopStretch(g, sp); got != 2 {
-		t.Errorf("HopStretch = %v, want 2", got)
-	}
-	if got := HopStretch(g, g); got != 1 {
-		t.Errorf("self HopStretch = %v, want 1", got)
-	}
-	// Disconnected spanner.
-	empty := graph.New(3)
-	if got := HopStretch(g, empty); !math.IsInf(got, 1) {
-		t.Errorf("disconnected HopStretch = %v, want +Inf", got)
-	}
-}
-
-// TestHopStretchOnGreedySpanner: sanity band on a real instance.
-func TestHopStretchOnGreedySpanner(t *testing.T) {
-	inst := metInstance(t, 60, 65_000)
-	sp := greedy.Spanner(inst.G, 1.5)
-	hs := HopStretch(inst.G, sp)
-	if hs < 1 || hs > 50 {
-		t.Errorf("hop stretch %v implausible", hs)
-	}
-}

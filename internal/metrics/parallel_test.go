@@ -76,26 +76,3 @@ func TestStretchConcurrentCallers(t *testing.T) {
 		}
 	}
 }
-
-func TestHopStretchParallelMatchesDirect(t *testing.T) {
-	g, sp := stretchInstance(t, 80, 13)
-	got := HopStretch(g, sp)
-	// Reference: sequential BFS per edge via the map API.
-	worst := 1.0
-	for _, e := range g.Edges() {
-		if sp.HasEdge(e.U, e.V) {
-			continue
-		}
-		h, ok := sp.BFSHops(e.U, -1)[e.V]
-		if !ok {
-			worst = math.Inf(1)
-			break
-		}
-		if fh := float64(h); fh > worst {
-			worst = fh
-		}
-	}
-	if got != worst {
-		t.Fatalf("HopStretch %v != reference %v", got, worst)
-	}
-}

@@ -113,8 +113,8 @@ const csrCellChunk = 16
 // bytes per halfedge a candidate buffer would dwarf the output slab, and
 // the second DistSq/sqrt is cheaper than that memory traffic. keep (when
 // non-nil) must be deterministic and symmetric so the passes and the two
-// directed scans of each pair all agree; pair inclusion matches Grid
-// semantics exactly (DistSq ≤ radius²).
+// directed scans of each pair all agree; pair inclusion matches
+// DynamicGrid semantics exactly (DistSq ≤ radius²).
 func buildCSR(points []geom.Point, radius float64, keep func(u, v int, dist float64) bool) *graph.Frozen {
 	n := len(points)
 	b := graph.NewCSRBuilder(n)
